@@ -178,13 +178,13 @@ impl<'a> TimingEngine<'a> {
                 let len0 = tree.node(child).wire_to_parent_um;
                 match self.walk(tree, child, len0) {
                     Event::LoadAt { len, node } => {
-                        let timing = self.lib.single_wire(
+                        let slew = self.lib.single_wire_slew(
                             driver,
                             self.load_of(tree, node),
                             slew_in,
                             len.max(1.0),
                         );
-                        out.push((node, timing.output_slew));
+                        out.push((node, slew));
                     }
                     Event::ForkAt { len, node } => {
                         self.fork_loads(tree, node, driver, slew_in, len, out);

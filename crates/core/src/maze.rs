@@ -263,10 +263,9 @@ impl<'a> MazeRouter<'a> {
         let mut best: Option<(BufferId, f64)> = None;
         let mut strongest: Option<(BufferId, f64)> = None;
         for drive in self.lib.buffer_ids() {
-            let slew = self
-                .lib
-                .single_wire(drive, Load::Buffer(load), target, seg_len.max(1.0))
-                .output_slew;
+            let slew =
+                self.lib
+                    .single_wire_slew(drive, Load::Buffer(load), target, seg_len.max(1.0));
             if slew <= target {
                 // closest to target from below = largest qualifying slew
                 if best.is_none_or(|(_, s)| slew > s) {
@@ -284,13 +283,13 @@ impl<'a> MazeRouter<'a> {
     /// `seg_len` µm of wire into `load`, under the slew-target input
     /// assumption.
     fn stage_delay(&self, drive: BufferId, load: BufferId, seg_len: f64) -> f64 {
-        let t = self.lib.single_wire(
+        let (buffer_delay, wire_delay) = self.lib.single_wire_delays(
             drive,
             Load::Buffer(load),
             self.options.slew_target,
             seg_len.max(1.0),
         );
-        t.buffer_delay + t.wire_delay
+        buffer_delay + wire_delay
     }
 
     /// Pending-wire delay estimate: the not-yet-driven top segment,
@@ -299,14 +298,12 @@ impl<'a> MazeRouter<'a> {
         if seg_len <= 0.0 {
             return 0.0;
         }
-        self.lib
-            .single_wire(
-                self.options.virtual_driver,
-                Load::Buffer(load),
-                self.options.slew_target,
-                seg_len.max(1.0),
-            )
-            .wire_delay
+        self.lib.single_wire_delay(
+            self.options.virtual_driver,
+            Load::Buffer(load),
+            self.options.slew_target,
+            seg_len.max(1.0),
+        )
     }
 
     pub(crate) fn resolve_load(&self, load: Load) -> BufferId {
@@ -437,7 +434,7 @@ impl<'a> MazeRouter<'a> {
                 });
                 // The phantom wire's delay is already inside the sub-tree
                 // delay; only the new wire's share is committed here.
-                let t = self.lib.single_wire(
+                let (buffer_delay, wire_delay) = self.lib.single_wire_delays(
                     buf,
                     Load::Buffer(load),
                     self.options.slew_target,
@@ -448,7 +445,7 @@ impl<'a> MazeRouter<'a> {
                 } else {
                     1.0
                 };
-                committed += t.buffer_delay + t.wire_delay * new_share;
+                committed += buffer_delay + wire_delay * new_share;
                 load = buf;
                 seg = 0.0;
                 phantom = 0.0;

@@ -215,15 +215,12 @@ impl<'a> MergeRouting<'a> {
             .get_or_insert_with(|| self.arm_budget_um());
         let wire_swing = {
             let load = balancer.load_of(tree, roots[0]);
-            2.0 * self
-                .lib
-                .single_wire(
-                    self.options.virtual_driver,
-                    load,
-                    self.options.slew_target,
-                    arm_budget,
-                )
-                .wire_delay
+            2.0 * self.lib.single_wire_delay(
+                self.options.virtual_driver,
+                load,
+                self.options.slew_target,
+                arm_budget,
+            )
         };
         let mut snake_stages = 0;
         for round in 0..3 {

@@ -19,7 +19,9 @@
 //!    applied inside the worker, where its scratch clones are pair-sized
 //!    instead of whole-tree-sized) are grafted back into the main arena in
 //!    deterministic pair order, so the resulting arena is **bit-identical
-//!    for every thread count**.
+//!    for every thread count**. The serial path grafts each forest as soon
+//!    as it is merged, and merges a pair spanning the whole arena (the top
+//!    level) in place, so its heap peak stays near one arena.
 //! 4. **Level timing** — per-level statistics ([`LevelStats`]) aggregated
 //!    from the merge outcomes, surfaced on [`crate::CtsResult`].
 //!
@@ -27,7 +29,7 @@
 //! [`SynthesisPipeline::run`].
 
 use crate::engine::TimingEngine;
-use crate::hcorrect::merge_with_correction_with;
+use crate::hcorrect::{merge_with_correction_with, CorrectedMerge};
 use crate::instance::Instance;
 use crate::merge::MergeScratch;
 use crate::options::{CtsError, CtsOptions};
@@ -112,10 +114,39 @@ pub struct LevelSnapshot {
 struct PairMerge {
     forest: ClockTree,
     map: Vec<TreeNodeId>,
-    root: TreeNodeId,
-    flipped: bool,
-    skew_estimate: f64,
-    latency_estimate: f64,
+    out: CorrectedMerge,
+}
+
+impl PairMerge {
+    /// Folds this pair's bookkeeping into the level statistics.
+    fn fold_into(&self, stats: &mut LevelStats) {
+        stats.fold_pair(&self.out, buffers_from(&self.forest, self.map.len()));
+    }
+
+    /// Writes the merged forest back into `tree`; returns the pair's root
+    /// in `tree`.
+    fn graft(self, tree: &mut ClockTree) -> TreeNodeId {
+        tree.graft_forest(self.forest, &self.map)[self.out.root.index()]
+    }
+}
+
+impl LevelStats {
+    /// Folds one merged pair's outcome; every path folds in pair order.
+    fn fold_pair(&mut self, out: &CorrectedMerge, buffers_inserted: usize) {
+        self.flippings += out.flipped as usize;
+        self.worst_skew_estimate = self.worst_skew_estimate.max(out.skew_estimate);
+        self.max_latency_estimate = self.max_latency_estimate.max(out.latency_estimate);
+        self.buffers_inserted += buffers_inserted;
+    }
+}
+
+/// Buffers among the nodes of `tree` from index `first` on — the nodes a
+/// merge appended.
+fn buffers_from(tree: &ClockTree, first: usize) -> usize {
+    tree.ids()
+        .skip(first)
+        .filter(|&id| matches!(tree.node(id).kind, NodeKind::Buffer { .. }))
+        .count()
 }
 
 /// The staged synthesis pipeline. See the module docs for the stage
@@ -333,6 +364,14 @@ impl<'a> SynthesisPipeline<'a> {
     /// parallel), graft the results back in deterministic pair order, and
     /// aggregate the level's timing statistics. `active` is replaced by
     /// the next level's roots.
+    ///
+    /// The serial path folds and grafts each pair as soon as it is merged,
+    /// so at most one detached forest is alive at a time. A pair whose two
+    /// sub-trees hold the whole arena (the top level) merges on the arena
+    /// itself: its extraction would be an identity copy. Both give the
+    /// arena and statistics of the parallel collect-then-graft path, bit
+    /// for bit: pairs touch disjoint nodes, grafts land in pair order, and
+    /// the folds run in pair order.
     fn merge_level(
         &self,
         tree: &mut ClockTree,
@@ -347,6 +386,20 @@ impl<'a> SynthesisPipeline<'a> {
             .iter()
             .map(|&(i, j)| (active[i], active[j]))
             .collect();
+        let mut next: Vec<TreeNodeId> = Vec::with_capacity(active.len() / 2 + 1);
+        if let Some(seed) = matching.seed {
+            next.push(active[seed]);
+        }
+        let mut stats = LevelStats {
+            level,
+            pairs: jobs.len(),
+            seed_promoted: matching.seed.is_some(),
+            flippings: 0,
+            buffers_inserted: 0,
+            worst_skew_estimate: 0.0,
+            max_latency_estimate: 0.0,
+            nodes_total: 0,
+        };
 
         // Stage 2 + 3a: merge-route each pair (with its H-correction) on a
         // detached forest. Workers only read the shared arena during
@@ -361,71 +414,49 @@ impl<'a> SynthesisPipeline<'a> {
             let lb = ClockTree::local_id(&map, b);
             let out =
                 merge_with_correction_with(ctx.lib, ctx.options, scratch, &mut forest, la, lb)?;
-            Ok(PairMerge {
-                root: out.root,
-                forest,
-                map,
-                flipped: out.flipped,
-                skew_estimate: out.skew_estimate,
-                latency_estimate: out.latency_estimate,
-            })
+            Ok(PairMerge { forest, map, out })
         };
-        let merged: Vec<PairMerge> = {
-            let tree: &ClockTree = tree;
-            if ctx.threads <= 1 || jobs.len() <= 1 {
-                // Serial path: run through the caller's scratch, which then
-                // persists across levels (and across the instances a batch
-                // shard processes).
-                jobs.iter()
-                    .map(|job| merge_one(scratch, tree, job))
-                    .collect::<Result<_, _>>()?
-            } else {
+
+        if ctx.threads <= 1 || jobs.len() <= 1 {
+            // Serial path: run through the caller's scratch, which then
+            // persists across levels (and across the instances a batch
+            // shard processes).
+            for &(a, b) in &jobs {
+                if jobs.len() == 1 && tree.spans_arena(&[a, b]) {
+                    let first_new = tree.len();
+                    let out = {
+                        let _span = cts_obs::span_with(&SPAN_MERGE_PAIR, level as u64);
+                        merge_with_correction_with(ctx.lib, ctx.options, scratch, tree, a, b)?
+                    };
+                    stats.fold_pair(&out, buffers_from(tree, first_new));
+                    next.push(out.root);
+                } else {
+                    let m = merge_one(scratch, tree, &(a, b))?;
+                    m.fold_into(&mut stats);
+                    next.push(m.graft(tree));
+                }
+            }
+        } else {
+            let merged = {
+                let tree: &ClockTree = tree;
                 run_parallel_with(ctx.threads, &jobs, MergeScratch::new, |scratch, job| {
                     merge_one(scratch, tree, job)
                 })?
+            };
+            // Stage 4 first: the statistics are a pure read over the merge
+            // outcomes, so they fold before grafting consumes the forests.
+            {
+                let _span = cts_obs::span_with(&SPAN_LEVEL_STATS, level as u64);
+                for m in &merged {
+                    m.fold_into(&mut stats);
+                }
             }
-        };
-
-        // Stage 3b: graft in pair order — arena layout (and therefore the
-        // whole downstream flow) is independent of the worker count.
-        let mut next: Vec<TreeNodeId> = Vec::with_capacity(active.len() / 2 + 1);
-        if let Some(seed) = matching.seed {
-            next.push(active[seed]);
-        }
-        let mut stats = LevelStats {
-            level,
-            pairs: merged.len(),
-            seed_promoted: matching.seed.is_some(),
-            flippings: 0,
-            buffers_inserted: 0,
-            worst_skew_estimate: 0.0,
-            max_latency_estimate: 0.0,
-            nodes_total: 0,
-        };
-        // Stage 4 first: the level's statistics are a pure read over the
-        // merge outcomes, so they aggregate before grafting consumes the
-        // forests — in the same pair order, keeping every fold (including
-        // the f64 max folds) arithmetically identical to the old fused
-        // loop.
-        {
-            let _span = cts_obs::span_with(&SPAN_LEVEL_STATS, level as u64);
-            for m in &merged {
-                stats.flippings += m.flipped as usize;
-                stats.worst_skew_estimate = stats.worst_skew_estimate.max(m.skew_estimate);
-                stats.max_latency_estimate = stats.max_latency_estimate.max(m.latency_estimate);
-                stats.buffers_inserted += m
-                    .forest
-                    .ids()
-                    .skip(m.map.len())
-                    .filter(|&id| matches!(m.forest.node(id).kind, NodeKind::Buffer { .. }))
-                    .count();
-            }
-        }
-        {
+            // Stage 3b: graft in pair order — arena layout (and therefore
+            // the whole downstream flow) is independent of the worker
+            // count.
             let _span = cts_obs::span_with(&SPAN_GRAFT, level as u64);
             for m in merged {
-                let global = tree.graft_forest(m.forest, &m.map);
-                next.push(global[m.root.index()]);
+                next.push(m.graft(tree));
             }
         }
         *active = next;

@@ -524,6 +524,19 @@ impl ClockTree {
         (ClockTree { nodes }, ids)
     }
 
+    /// Whether the sub-trees rooted at `roots` hold every node of this
+    /// arena, i.e. [`ClockTree::extract_forest`] of `roots` would return an
+    /// identity copy.
+    pub fn spans_arena(&self, roots: &[TreeNodeId]) -> bool {
+        let mut reached = 0;
+        let mut stack = roots.to_vec();
+        while let Some(id) = stack.pop() {
+            reached += 1;
+            stack.extend(self.node(id).children.iter().copied());
+        }
+        reached == self.nodes.len()
+    }
+
     /// The local id (in a forest extracted with `map`) of the original
     /// arena node `global`.
     ///
@@ -567,19 +580,16 @@ impl ClockTree {
                 }
             })
             .collect();
-        for (i, n) in forest.nodes.into_iter().enumerate() {
-            let mapped = TreeNode {
-                kind: n.kind,
-                location: n.location,
-                parent: n.parent.map(|p| global[p.0]),
-                wire_to_parent_um: n.wire_to_parent_um,
-                children: n.children.iter().map(|&c| global[c.0]).collect(),
-            };
+        for (i, mut n) in forest.nodes.into_iter().enumerate() {
+            n.parent = n.parent.map(|p| global[p.0]);
+            for c in &mut n.children {
+                *c = global[c.0];
+            }
             if i < map.len() {
-                self.nodes[map[i].0] = mapped;
+                self.nodes[map[i].0] = n;
             } else {
                 debug_assert_eq!(global[i].0, self.nodes.len());
-                self.nodes.push(mapped);
+                self.nodes.push(n);
             }
         }
         global

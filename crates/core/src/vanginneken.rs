@@ -167,17 +167,12 @@ pub(crate) fn commit_path_vg(
             }
             let mut any_feasible = false;
             for drive in lib.buffer_ids() {
-                let t = lib.single_wire(drive, Load::Buffer(c.load), target, stage.max(1.0));
-                if t.output_slew <= target {
+                let load = Load::Buffer(c.load);
+                if lib.single_wire_slew(drive, load, target, stage.max(1.0)) <= target {
                     any_feasible = true;
-                    spawned.push(insert(
-                        c,
-                        drive,
-                        t.buffer_delay,
-                        t.wire_delay,
-                        at,
-                        &mut arena,
-                    ));
+                    let (buffer_delay, wire_delay) =
+                        lib.single_wire_delays(drive, load, target, stage.max(1.0));
+                    spawned.push(insert(c, drive, buffer_delay, wire_delay, at, &mut arena));
                 }
             }
             // Forced fallback, mirroring greedy's strongest-buffer escape:
@@ -185,15 +180,9 @@ pub(crate) fn commit_path_vg(
             // driver's reach) but no type meets the target.
             if !any_feasible && stage + step > limits[c.load.0] {
                 let drive = router.best_buffer_for(c.load, stage);
-                let t = lib.single_wire(drive, Load::Buffer(c.load), target, stage.max(1.0));
-                spawned.push(insert(
-                    c,
-                    drive,
-                    t.buffer_delay,
-                    t.wire_delay,
-                    at,
-                    &mut arena,
-                ));
+                let (buffer_delay, wire_delay) =
+                    lib.single_wire_delays(drive, Load::Buffer(c.load), target, stage.max(1.0));
+                spawned.push(insert(c, drive, buffer_delay, wire_delay, at, &mut arena));
             }
         }
         cands.append(&mut spawned);

@@ -64,6 +64,24 @@ fn basis_powers(dims: usize, order: u32) -> Vec<Vec<u32>> {
     out
 }
 
+/// Most input variables a fit may have. The library's surfaces take two
+/// (input slew, wire length) and its volumes three (input slew, two arm
+/// lengths); [`PolyFit::eval`] standardizes a query into a stack array of
+/// this size instead of a heap-allocated one.
+pub const MAX_DIMS: usize = 3;
+
+/// [`basis_powers`] with every term padded to [`MAX_DIMS`] exponents.
+fn padded_powers(dims: usize, order: u32) -> Vec<[u32; MAX_DIMS]> {
+    basis_powers(dims, order)
+        .into_iter()
+        .map(|p| {
+            let mut padded = [0; MAX_DIMS];
+            padded[..dims].copy_from_slice(&p);
+            padded
+        })
+        .collect()
+}
+
 /// Per-dimension standardization parameters.
 #[derive(Debug, Clone, PartialEq)]
 struct Standardizer {
@@ -106,6 +124,12 @@ impl Standardizer {
         }
     }
 
+    /// Coordinate `d` of a query, clamped to the fitted domain and
+    /// standardized — one element of `apply(x, true)`, same operations.
+    fn standardize(&self, d: usize, v: f64) -> f64 {
+        (v.clamp(self.lo[d], self.hi[d]) - self.mean[d]) / self.scale[d]
+    }
+
     fn apply(&self, x: &[f64], clamp: bool) -> Vec<f64> {
         x.iter()
             .enumerate()
@@ -145,7 +169,9 @@ impl Standardizer {
 pub struct PolyFit {
     dims: usize,
     order: u32,
-    powers: Vec<Vec<u32>>,
+    /// Monomial exponents per term, in basis order; dimensions past `dims`
+    /// hold 0, whose factor is an exact 1.0.
+    powers: Vec<[u32; MAX_DIMS]>,
     coefs: Vec<f64>,
     std: Standardizer,
     max_abs_residual: f64,
@@ -163,14 +189,18 @@ impl PolyFit {
     ///
     /// # Panics
     ///
-    /// Panics if any point has the wrong dimensionality, or `dims == 0`.
+    /// Panics if any point has the wrong dimensionality, or `dims` is 0 or
+    /// above [`MAX_DIMS`].
     pub fn fit(
         dims: usize,
         order: u32,
         points: &[Vec<f64>],
         values: &[f64],
     ) -> Result<PolyFit, FitError> {
-        assert!(dims > 0, "dims must be positive");
+        assert!(
+            (1..=MAX_DIMS).contains(&dims),
+            "dims must be in 1..={MAX_DIMS}"
+        );
         assert_eq!(points.len(), values.len(), "points/values must match");
         for p in points {
             assert_eq!(p.len(), dims, "point dimensionality mismatch");
@@ -183,7 +213,7 @@ impl PolyFit {
         {
             return Err(FitError::NonFiniteSample);
         }
-        let powers = basis_powers(dims, order);
+        let powers = padded_powers(dims, order);
         if points.len() < powers.len() {
             return Err(FitError::TooFewSamples {
                 samples: points.len(),
@@ -193,7 +223,7 @@ impl PolyFit {
         let std = Standardizer::from_samples(dims, points);
         let design = Matrix::from_fn(points.len(), powers.len(), |r, c| {
             let x = std.apply(&points[r], false);
-            monomial(&x, &powers[c])
+            monomial(&x, &powers[c][..dims])
         });
         let coefs = least_squares(&design, values).ok_or(FitError::Degenerate)?;
 
@@ -221,16 +251,37 @@ impl PolyFit {
     /// Evaluates the polynomial at `x`, clamping each coordinate to the
     /// fitted domain (no extrapolation).
     ///
+    /// Allocation-free, and bit-identical to standardizing into a vector
+    /// and summing `c · Π z_d.powi(p_d)` over the terms: the same
+    /// operations run in the same order. Each dimension gets a power table
+    /// `[1, z, z·z, z·(z·z)]`, which is exactly what `powi`'s
+    /// square-and-multiply computes for exponents up to 3; higher
+    /// exponents still call `powi`.
+    ///
     /// # Panics
     ///
     /// Panics if `x` has the wrong dimensionality.
     pub fn eval(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.dims, "query dimensionality mismatch");
-        let z = self.std.apply(x, true);
+        let mut pow = [[1.0f64; 4]; MAX_DIMS];
+        for (d, (table, &v)) in pow.iter_mut().zip(x).enumerate() {
+            let z = self.std.standardize(d, v);
+            let z2 = z * z;
+            *table = [1.0, z, z2, z * z2];
+        }
         self.powers
             .iter()
             .zip(&self.coefs)
-            .map(|(p, c)| c * monomial(&z, p))
+            .map(|(p, c)| {
+                c * p
+                    .iter()
+                    .zip(&pow)
+                    .map(|(&e, table)| match table.get(e as usize) {
+                        Some(&v) => v,
+                        None => table[1].powi(e as i32),
+                    })
+                    .product::<f64>()
+            })
             .sum()
     }
 
@@ -300,10 +351,10 @@ impl PolyFit {
         }
         let dims = rec[0] as usize;
         let order = rec[1] as u32;
-        if dims == 0 {
+        if !(1..=MAX_DIMS).contains(&dims) {
             return None;
         }
-        let powers = basis_powers(dims, order);
+        let powers = padded_powers(dims, order);
         let need = 2 + 4 * dims + 2 + powers.len();
         if rec.len() != need {
             return None;
@@ -344,6 +395,85 @@ fn monomial(x: &[f64], powers: &[u32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The evaluator [`PolyFit::eval`] replaced, kept as its bit-identity
+    /// reference: standardize into a heap vector, then sum
+    /// `c · Π z.powi(p)` over the nested basis.
+    fn reference_eval(fit: &PolyFit, x: &[f64]) -> f64 {
+        let z = fit.std.apply(x, true);
+        basis_powers(fit.dims, fit.order)
+            .iter()
+            .zip(&fit.coefs)
+            .map(|(p, c)| c * monomial(&z, p))
+            .sum()
+    }
+
+    #[test]
+    fn eval_is_bit_identical_to_the_allocating_reference() {
+        let mut rng = StdRng::seed_from_u64(0x6b65_726e_656c);
+        for dims in 1..=MAX_DIMS {
+            // Orders up to 4 cover the `powi` fallback above the table.
+            for order in 0..=4u32 {
+                for _fit in 0..3 {
+                    // Per-dimension domains of very different magnitude,
+                    // like (slew [s], length [µm]).
+                    let domains: Vec<(f64, f64)> = (0..dims)
+                        .map(|d| {
+                            let mag = [1e-11, 1e3, 1e2][d];
+                            let lo = rng.gen_range(0.0..mag);
+                            (lo, lo + rng.gen_range(0.5 * mag..3.0 * mag))
+                        })
+                        .collect();
+                    let pts: Vec<Vec<f64>> = (0..80)
+                        .map(|_| {
+                            domains
+                                .iter()
+                                .map(|&(lo, hi)| rng.gen_range(lo..hi))
+                                .collect()
+                        })
+                        .collect();
+                    let vals: Vec<f64> = pts
+                        .iter()
+                        .map(|p| {
+                            let u: Vec<f64> = p
+                                .iter()
+                                .zip(&domains)
+                                .map(|(v, (lo, hi))| (v - lo) / (hi - lo))
+                                .collect();
+                            u.iter().map(|v| (1.7 * v).sin()).sum::<f64>()
+                                + u.iter().product::<f64>()
+                                + rng.gen_range(-1e-3..1e-3)
+                        })
+                        .collect();
+                    let fit = PolyFit::fit(dims, order, &pts, &vals).unwrap();
+                    for _ in 0..200 {
+                        // Half a domain beyond each side, so clamping runs.
+                        let q: Vec<f64> = domains
+                            .iter()
+                            .map(|&(lo, hi)| {
+                                let w = hi - lo;
+                                rng.gen_range(lo - 0.5 * w..hi + 0.5 * w)
+                            })
+                            .collect();
+                        assert_eq!(
+                            fit.eval(&q).to_bits(),
+                            reference_eval(&fit, &q).to_bits(),
+                            "dims {dims} order {order} at {q:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dims must be in")]
+    fn too_many_dims_is_rejected() {
+        let pts: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64; MAX_DIMS + 1]).collect();
+        let _ = PolyFit::fit(MAX_DIMS + 1, 1, &pts, &[0.0; 8]);
+    }
 
     #[test]
     fn basis_sizes() {

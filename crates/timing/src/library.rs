@@ -76,6 +76,23 @@ pub struct SingleWireFns {
     pub wire_slew: PolyFit,
 }
 
+impl SingleWireFns {
+    // The query-time clamps of `DelaySlewLibrary::single_wire`, one
+    // quantity each, so single-quantity queries evaluate one fit.
+
+    fn buffer_delay_at(&self, x: &[f64; 2]) -> f64 {
+        self.intrinsic.eval(x).max(0.0)
+    }
+
+    fn wire_delay_at(&self, x: &[f64; 2]) -> f64 {
+        self.wire_delay.eval(x).max(0.0)
+    }
+
+    fn output_slew_at(&self, x: &[f64; 2]) -> f64 {
+        self.wire_slew.eval(x).max(1e-15)
+    }
+}
+
 /// Fitted functions for one (drive, load_left, load_right) branch
 /// combination, each over `(input slew [s], l_left [µm], l_right [µm])`.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,7 +115,10 @@ pub struct BranchFns {
 /// intrinsic delay, wire delay and wire slew, fitted to simulations of the
 /// Fig. 3.3/3.5 circuits. Build one with [`crate::characterize()`] (or load a
 /// cached one via [`crate::load_library_str`]); query with
-/// [`DelaySlewLibrary::single_wire`] and [`DelaySlewLibrary::branch`].
+/// [`DelaySlewLibrary::single_wire`] and [`DelaySlewLibrary::branch`], or
+/// one quantity at a time with [`DelaySlewLibrary::single_wire_delay`],
+/// [`DelaySlewLibrary::single_wire_slew`] and
+/// [`DelaySlewLibrary::single_wire_delays`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DelaySlewLibrary {
     vdd: f64,
@@ -108,6 +128,10 @@ pub struct DelaySlewLibrary {
     single: Vec<SingleWireFns>,
     /// Keyed by canonical (drive, min load, max load).
     branch: Vec<((usize, usize, usize), BranchFns)>,
+    /// Position in `branch` of each canonical triple, indexed
+    /// `(drive * nb + min load) * nb + max load`; slots of non-canonical
+    /// triples are unused.
+    branch_index: Vec<usize>,
 }
 
 impl DelaySlewLibrary {
@@ -128,13 +152,14 @@ impl DelaySlewLibrary {
         let nb = buffers.len();
         assert!(nb > 0, "library needs at least one buffer");
         assert_eq!(single.len(), nb * nb, "single-wire fits incomplete");
+        let mut branch_index = vec![usize::MAX; nb * nb * nb];
         for d in 0..nb {
             for ll in 0..nb {
                 for lr in ll..nb {
-                    assert!(
-                        branch.iter().any(|(k, _)| *k == (d, ll, lr)),
-                        "missing branch fit ({d},{ll},{lr})"
-                    );
+                    branch_index[(d * nb + ll) * nb + lr] = branch
+                        .iter()
+                        .position(|(k, _)| *k == (d, ll, lr))
+                        .unwrap_or_else(|| panic!("missing branch fit ({d},{ll},{lr})"));
                 }
             }
         }
@@ -144,6 +169,7 @@ impl DelaySlewLibrary {
             buffers,
             single,
             branch,
+            branch_index,
         }
     }
 
@@ -202,8 +228,9 @@ impl DelaySlewLibrary {
         }
     }
 
-    fn single_fns(&self, drive: BufferId, load: BufferId) -> &SingleWireFns {
+    fn single_fns(&self, drive: BufferId, load: Load) -> &SingleWireFns {
         assert!(drive.0 < self.buffers.len(), "drive buffer out of range");
+        let load = self.resolve(load);
         &self.single[drive.0 * self.buffers.len() + load.0]
     }
 
@@ -223,14 +250,67 @@ impl DelaySlewLibrary {
         input_slew: f64,
         length_um: f64,
     ) -> StageTiming {
-        let load = self.resolve(load);
         let fns = self.single_fns(drive, load);
         let x = [input_slew, length_um];
         StageTiming {
-            buffer_delay: fns.intrinsic.eval(&x).max(0.0),
-            wire_delay: fns.wire_delay.eval(&x).max(0.0),
-            output_slew: fns.wire_slew.eval(&x).max(1e-15),
+            buffer_delay: fns.buffer_delay_at(&x),
+            wire_delay: fns.wire_delay_at(&x),
+            output_slew: fns.output_slew_at(&x),
         }
+    }
+
+    /// The `wire_delay` of [`DelaySlewLibrary::single_wire`], bit for bit,
+    /// evaluating only the wire-delay fit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `drive` (or a buffer load) is out of range.
+    pub fn single_wire_delay(
+        &self,
+        drive: BufferId,
+        load: Load,
+        input_slew: f64,
+        length_um: f64,
+    ) -> f64 {
+        self.single_fns(drive, load)
+            .wire_delay_at(&[input_slew, length_um])
+    }
+
+    /// The `output_slew` of [`DelaySlewLibrary::single_wire`], bit for
+    /// bit, evaluating only the wire-slew fit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `drive` (or a buffer load) is out of range.
+    pub fn single_wire_slew(
+        &self,
+        drive: BufferId,
+        load: Load,
+        input_slew: f64,
+        length_um: f64,
+    ) -> f64 {
+        self.single_fns(drive, load)
+            .output_slew_at(&[input_slew, length_um])
+    }
+
+    /// The `(buffer_delay, wire_delay)` pair of
+    /// [`DelaySlewLibrary::single_wire`], bit for bit, skipping the slew
+    /// fit: the two delays of a stage whose slew is already known to be
+    /// legal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `drive` (or a buffer load) is out of range.
+    pub fn single_wire_delays(
+        &self,
+        drive: BufferId,
+        load: Load,
+        input_slew: f64,
+        length_um: f64,
+    ) -> (f64, f64) {
+        let fns = self.single_fns(drive, load);
+        let x = [input_slew, length_um];
+        (fns.buffer_delay_at(&x), fns.wire_delay_at(&x))
     }
 
     /// Timing of a branch component: `drive` buffer into two wires of
@@ -259,12 +339,8 @@ impl DelaySlewLibrary {
         } else {
             (lengths_um.0, lengths_um.1)
         };
-        let fns = &self
-            .branch
-            .iter()
-            .find(|(k, _)| *k == (drive.0, ca, cb))
-            .expect("canonical branch fit present (checked at construction)")
-            .1;
+        let nb = self.buffers.len();
+        let fns = &self.branch[self.branch_index[(drive.0 * nb + ca) * nb + cb]].1;
         let x = [input_slew, la, lb];
         let (d_a, s_a) = (
             fns.left_delay.eval(&x).max(0.0),
@@ -297,7 +373,6 @@ impl DelaySlewLibrary {
     /// The characterized `(slew, length)` domain of a single-wire
     /// combination: `((slew_lo, slew_hi), (len_lo, len_hi))`.
     pub fn single_domain(&self, drive: BufferId, load: Load) -> ((f64, f64), (f64, f64)) {
-        let load = self.resolve(load);
         let d = self.single_fns(drive, load).wire_slew.domain();
         (d[0], d[1])
     }
@@ -323,7 +398,7 @@ impl DelaySlewLibrary {
         slew_limit: f64,
     ) -> Option<f64> {
         let ((_, _), (len_lo, len_hi)) = self.single_domain(drive, load);
-        let slew_at = |len: f64| self.single_wire(drive, load, input_slew, len).output_slew;
+        let slew_at = |len: f64| self.single_wire_slew(drive, load, input_slew, len);
         if slew_at(len_lo) > slew_limit {
             return None;
         }
@@ -580,6 +655,40 @@ mod tests {
         assert_eq!(lib.subset(2).unwrap(), lib);
         assert!(lib.subset(0).is_none());
         assert!(lib.subset(3).is_none());
+    }
+
+    #[test]
+    fn single_quantity_queries_bit_equal_single_wire() {
+        let lib = crate::fast_library();
+        let ((slew_lo, slew_hi), (len_lo, len_hi)) =
+            lib.single_domain(BufferId(0), Load::Buffer(BufferId(0)));
+        // A grid reaching past the characterized domain on every side, so
+        // the clamps are covered too.
+        let grid =
+            |lo: f64, hi: f64| (0..=12).map(move |i| lo + (hi - lo) * (i as f64 / 8.0 - 0.25));
+        for drive in lib.buffer_ids() {
+            for load in lib.buffer_ids().map(Load::Buffer) {
+                for slew in grid(slew_lo, slew_hi) {
+                    for len in grid(len_lo, len_hi) {
+                        let t = lib.single_wire(drive, load, slew, len);
+                        let bits = |v: f64| v.to_bits();
+                        assert_eq!(
+                            bits(lib.single_wire_delay(drive, load, slew, len)),
+                            bits(t.wire_delay)
+                        );
+                        assert_eq!(
+                            bits(lib.single_wire_slew(drive, load, slew, len)),
+                            bits(t.output_slew)
+                        );
+                        let (b, w) = lib.single_wire_delays(drive, load, slew, len);
+                        assert_eq!(
+                            (bits(b), bits(w)),
+                            (bits(t.buffer_delay), bits(t.wire_delay))
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
