@@ -64,6 +64,7 @@ pub struct TimingEngine<'a> {
 }
 
 /// What a downstream walk ran into.
+#[derive(Clone, Copy)]
 enum Event {
     /// A buffer input or sink, after `len` µm of wire.
     LoadAt { len: f64, node: TreeNodeId },
@@ -197,7 +198,38 @@ impl<'a> TimingEngine<'a> {
         }
     }
 
-    /// Timing of a (stem +) fork structure under `driver`.
+    /// Walks one arm of a fork once: where it ends, and the load it
+    /// presents to the branch fit (a nested fork's shielded capacitance
+    /// stands in as a sink).
+    fn arm(&self, tree: &ClockTree, child: TreeNodeId) -> (Event, Load) {
+        let ev = self.walk(tree, child, tree.node(child).wire_to_parent_um);
+        let load = match ev {
+            Event::LoadAt { node, .. } => self.load_of(tree, node),
+            Event::ForkAt { node, .. } => Load::Sink {
+                cap: self.shielded_cap(tree, node),
+            },
+            Event::Dangling { .. } => Load::Sink { cap: 0.0 },
+        };
+        (ev, load)
+    }
+
+    /// [`TimingEngine::arm`] of both children of `fork`.
+    fn fork_arms(&self, tree: &ClockTree, fork: TreeNodeId) -> [(Event, Load); 2] {
+        let children = &tree.node(fork).children;
+        debug_assert_eq!(children.len(), 2);
+        [self.arm(tree, children[0]), self.arm(tree, children[1])]
+    }
+
+    /// Capacitance below `node` up to the next buffer inputs, with the
+    /// library's wire and buffer-input capacitances.
+    fn shielded_cap(&self, tree: &ClockTree, node: TreeNodeId) -> f64 {
+        tree.shielded_cap_under(node, self.lib.wire().c_per_um(), &|b| {
+            self.lib.buffer(b).stage1_size() * 1.2e-15
+        })
+    }
+
+    /// Timing of a (stem +) fork structure under `driver`, given the
+    /// fork's two [arms](TimingEngine::fork_arms).
     ///
     /// A fork directly at the driver uses the branch fit as characterized.
     /// A fork behind a stem blends two estimates: *folded* (stem counted
@@ -210,27 +242,13 @@ impl<'a> TimingEngine<'a> {
         &self,
         tree: &ClockTree,
         fork: TreeNodeId,
+        arms: &[(Event, Load); 2],
         driver: BufferId,
         slew_in: f64,
         stem_len: f64,
     ) -> cts_timing::BranchTiming {
-        let children = tree.node(fork).children.clone();
-        debug_assert_eq!(children.len(), 2);
-        let arm = |child: TreeNodeId| -> (f64, Load) {
-            let ev = self.walk(tree, child, tree.node(child).wire_to_parent_um);
-            let load = match &ev {
-                Event::LoadAt { node, .. } => self.load_of(tree, *node),
-                Event::ForkAt { node, .. } => Load::Sink {
-                    cap: tree.shielded_cap_under(*node, self.lib.wire().c_per_um(), &|b| {
-                        self.lib.buffer(b).stage1_size() * 1.2e-15
-                    }),
-                },
-                Event::Dangling { .. } => Load::Sink { cap: 0.0 },
-            };
-            (event_len(&ev), load)
-        };
-        let (len_l, load_l) = arm(children[0]);
-        let (len_r, load_r) = arm(children[1]);
+        let [(ev_l, load_l), (ev_r, load_r)] = *arms;
+        let (len_l, len_r) = (event_len(&ev_l), event_len(&ev_r));
 
         let folded = self.lib.branch(
             driver,
@@ -241,9 +259,7 @@ impl<'a> TimingEngine<'a> {
         if stem_len <= 50.0 {
             return folded;
         }
-        let fork_cap = tree.shielded_cap_under(fork, self.lib.wire().c_per_um(), &|b| {
-            self.lib.buffer(b).stage1_size() * 1.2e-15
-        });
+        let fork_cap = self.shielded_cap(tree, fork);
         let stem_t = self
             .lib
             .single_wire(driver, Load::Sink { cap: fork_cap }, slew_in, stem_len);
@@ -273,15 +289,9 @@ impl<'a> TimingEngine<'a> {
         stem_len: f64,
         out: &mut Vec<(TreeNodeId, f64)>,
     ) {
-        let children = tree.node(fork).children.clone();
-        let timing = self.fork_timing(tree, fork, driver, slew_in, stem_len);
-        for (idx, &child) in children.iter().enumerate() {
-            let ev = self.walk(tree, child, tree.node(child).wire_to_parent_um);
-            let slew = if idx == 0 {
-                timing.left_slew
-            } else {
-                timing.right_slew
-            };
+        let arms = self.fork_arms(tree, fork);
+        let timing = self.fork_timing(tree, fork, &arms, driver, slew_in, stem_len);
+        for ((ev, _), slew) in arms.into_iter().zip([timing.left_slew, timing.right_slew]) {
             match ev {
                 Event::LoadAt { node, .. } => out.push((node, slew)),
                 Event::ForkAt { node, .. } => {
@@ -422,25 +432,9 @@ impl<'a> TimingEngine<'a> {
         with_intrinsic: bool,
         report: &mut TimingReport,
     ) {
-        let children = tree.node(fork).children.clone();
-        debug_assert_eq!(children.len(), 2);
-        let arm = |child: TreeNodeId| -> (Event, Load) {
-            let ev = self.walk(tree, child, tree.node(child).wire_to_parent_um);
-            let load = match &ev {
-                Event::LoadAt { node, .. } => self.load_of(tree, *node),
-                Event::ForkAt { node, .. } => Load::Sink {
-                    cap: tree.shielded_cap_under(*node, self.lib.wire().c_per_um(), &|b| {
-                        self.lib.buffer(b).stage1_size() * 1.2e-15
-                    }),
-                },
-                Event::Dangling { .. } => Load::Sink { cap: 0.0 },
-            };
-            (ev, load)
-        };
-        let (ev_l, _load_l) = arm(children[0]);
-        let (ev_r, _load_r) = arm(children[1]);
-
-        let timing = self.fork_timing(tree, fork, driver, slew_in, stem_len);
+        let arms = self.fork_arms(tree, fork);
+        let [(ev_l, _), (ev_r, _)] = arms;
+        let timing = self.fork_timing(tree, fork, &arms, driver, slew_in, stem_len);
         let t0 = t_in
             + if with_intrinsic {
                 timing.buffer_delay

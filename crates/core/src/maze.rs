@@ -17,8 +17,8 @@
 //! delays), and the result is handed to the binary-search stage.
 
 use crate::options::{Buffering, CtsError, CtsOptions};
-use cts_geom::{CellId, Point, RoutingGrid};
-use cts_timing::{BufferId, DelaySlewLibrary, Load};
+use cts_geom::{CellId, Point, RoutingGrid, MAX_CELL_PITCH_UM};
+use cts_timing::{BufferId, DelaySlewLibrary, Load, WireDelaySection};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -90,15 +90,21 @@ pub struct MergePlan {
 }
 
 /// The maze router.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct MazeRouter<'a> {
     lib: &'a DelaySlewLibrary,
     options: &'a CtsOptions,
+    /// Pending-wire delay under the virtual driver at the slew target, per
+    /// load buffer id: a function of segment length alone, so each
+    /// wavefront step evaluates a fit section instead of the full
+    /// (slew, length) surface. Built from (library, options) with the
+    /// router, never carried across contexts.
+    pending: Vec<WireDelaySection>,
 }
 
 /// Reusable buffers for [`MazeRouter::route_with`]: per-cell label stores,
-/// the wavefront heap, the cached per-buffer segment limits, and the
-/// routing-grid dimension cache.
+/// the wavefront heap, the per-route step tables, the cached per-buffer
+/// segment limits, and the routing-grid dimension cache.
 ///
 /// A scratch belongs to one (library, options) context — the segment-limit
 /// cache is computed on first use and never invalidated — and to one
@@ -108,6 +114,7 @@ pub struct MazeRouter<'a> {
 pub struct MazeScratch {
     labels: [Vec<Option<Label>>; 2],
     heap: BinaryHeap<QueueEntry>,
+    steps: StepTables,
     limits: Vec<f64>,
     /// Grid dimensions memoized by routed-region size and resolution.
     /// Merge spans repeat heavily within a topology level (matched pairs
@@ -150,7 +157,17 @@ impl MazeScratch {
     /// resolution growth is a pure function of the routed region's exact
     /// width/height ([`RoutingGrid::dims_for_region`]), so cached
     /// (cols, rows) rebuild a bit-identical grid without re-deriving them.
-    pub(crate) fn grid_between(&mut self, a: Point, b: Point, resolution: u32) -> RoutingGrid {
+    ///
+    /// # Errors
+    ///
+    /// [`CtsError::SlewUnachievable`] when the span is too large for any
+    /// `u32` cell count to place buffer sites at the slew-safe pitch.
+    pub(crate) fn grid_between(
+        &mut self,
+        a: Point,
+        b: Point,
+        resolution: u32,
+    ) -> Result<RoutingGrid, CtsError> {
         let region = RoutingGrid::region_between(a, b);
         let key = (
             region.width().to_bits(),
@@ -162,15 +179,69 @@ impl MazeScratch {
             .iter()
             .find(|&&(k, _)| k == key)
             .map(|&(_, dims)| dims);
-        let (cols, rows) = dims.unwrap_or_else(|| {
-            let dims = RoutingGrid::dims_for_region(region, resolution);
-            if self.grid_dims.len() >= GRID_DIMS_CACHE_CAP {
-                self.grid_dims.clear();
+        let (cols, rows) = match dims {
+            Some(dims) => dims,
+            None => {
+                let dims = RoutingGrid::dims_for_region(region, resolution).ok_or_else(|| {
+                    CtsError::SlewUnachievable {
+                        context: format!(
+                            "a {:e} x {:e} µm routing region needs more than {} cells per \
+                             side to place buffer sites every {MAX_CELL_PITCH_UM} µm",
+                            region.width(),
+                            region.height(),
+                            u32::MAX
+                        ),
+                    }
+                })?;
+                if self.grid_dims.len() >= GRID_DIMS_CACHE_CAP {
+                    self.grid_dims.clear();
+                }
+                self.grid_dims.push((key, dims));
+                dims
             }
-            self.grid_dims.push((key, dims));
-            dims
-        });
-        RoutingGrid::over_region(region, cols, rows)
+        };
+        Ok(RoutingGrid::over_region(region, cols, rows))
+    }
+}
+
+/// Distances between adjacent cell centers of one routing grid:
+/// `x[c]` from column `c` to `c + 1`, `y[r]` from row `r` to `r + 1`.
+///
+/// Each entry is [`RoutingGrid::cell_dist`] of the two cells, and equals
+/// it bit for bit for every pair of neighbours in that column (row): the
+/// other axis contributes `|Δ| = +0.0`, and adding `+0.0` is exact. Rebuilt
+/// for every route (the vectors are reused, not the values).
+#[derive(Debug, Default, Clone)]
+struct StepTables {
+    x: Vec<f64>,
+    y: Vec<f64>,
+}
+
+impl StepTables {
+    fn fill(&mut self, grid: &RoutingGrid) {
+        self.x.clear();
+        self.x.extend(
+            (1..grid.cols()).map(|c| grid.cell_dist(CellId::new(c - 1, 0), CellId::new(c, 0))),
+        );
+        self.y.clear();
+        self.y.extend(
+            (1..grid.rows()).map(|r| grid.cell_dist(CellId::new(0, r - 1), CellId::new(0, r))),
+        );
+    }
+
+    /// The in-bounds 4-neighbours of `cell` with their step lengths, in
+    /// [`RoutingGrid::neighbors`] order: +col, −col, +row, −row.
+    fn neighbors(&self, cell: CellId) -> [Option<(CellId, f64)>; 4] {
+        let CellId { col, row } = cell;
+        let (c, r) = (col as usize, row as usize);
+        [
+            self.x.get(c).map(|&d| (CellId::new(col + 1, row), d)),
+            c.checked_sub(1)
+                .map(|k| (CellId::new(col - 1, row), self.x[k])),
+            self.y.get(r).map(|&d| (CellId::new(col, row + 1), d)),
+            r.checked_sub(1)
+                .map(|k| (CellId::new(col, row - 1), self.y[k])),
+        ]
     }
 }
 
@@ -210,8 +281,26 @@ impl PartialOrd for QueueEntry {
 
 impl<'a> MazeRouter<'a> {
     /// Creates a router.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `options.virtual_driver` is not a buffer of `lib`.
     pub fn new(lib: &'a DelaySlewLibrary, options: &'a CtsOptions) -> MazeRouter<'a> {
-        MazeRouter { lib, options }
+        let pending = lib
+            .buffer_ids()
+            .map(|load| {
+                lib.wire_delay_section(
+                    options.virtual_driver,
+                    Load::Buffer(load),
+                    options.slew_target,
+                )
+            })
+            .collect();
+        MazeRouter {
+            lib,
+            options,
+            pending,
+        }
     }
 
     /// The library this router sizes buffers from.
@@ -293,17 +382,14 @@ impl<'a> MazeRouter<'a> {
     }
 
     /// Pending-wire delay estimate: the not-yet-driven top segment,
-    /// evaluated under the virtual driver.
+    /// evaluated under the virtual driver at the slew target — bit for bit
+    /// `single_wire_delay(virtual_driver, load, slew_target, seg_len)`,
+    /// through the router's per-load fit section.
     pub(crate) fn pending_delay(&self, load: BufferId, seg_len: f64) -> f64 {
         if seg_len <= 0.0 {
             return 0.0;
         }
-        self.lib.single_wire_delay(
-            self.options.virtual_driver,
-            Load::Buffer(load),
-            self.options.slew_target,
-            seg_len.max(1.0),
-        )
+        self.pending[load.0].eval(seg_len.max(1.0))
     }
 
     pub(crate) fn resolve_load(&self, load: Load) -> BufferId {
@@ -314,15 +400,17 @@ impl<'a> MazeRouter<'a> {
     }
 
     /// Runs one side's wavefront, filling `labels` (one slot per grid
-    /// cell) using the caller's reusable buffers.
+    /// cell) using the caller's reusable buffers; `steps` holds `grid`'s
+    /// step tables.
     fn expand_side_into(
         &self,
         grid: &RoutingGrid,
+        steps: &StepTables,
         side: &MergeSide,
         limits: &[f64],
         labels: &mut Vec<Option<Label>>,
         heap: &mut BinaryHeap<QueueEntry>,
-    ) -> Result<(), CtsError> {
+    ) {
         let root_load = self.resolve_load(side.root_load);
         let start = grid.nearest_cell(side.root_point);
         let start_seg =
@@ -349,8 +437,7 @@ impl<'a> MazeRouter<'a> {
             if arrival > label.arrival {
                 continue; // stale entry
             }
-            for next in grid.neighbors(cell) {
-                let step = grid.cell_dist(cell, next);
+            for (next, step) in steps.neighbors(cell).into_iter().flatten() {
                 let mut committed = label.committed;
                 let mut seg = label.seg_len + step;
                 let mut load = label.load;
@@ -381,7 +468,6 @@ impl<'a> MazeRouter<'a> {
                 }
             }
         }
-        Ok(())
     }
 
     /// Reconstructs the cell path root→`to` from backpointers.
@@ -492,16 +578,19 @@ impl<'a> MazeRouter<'a> {
         a: &MergeSide,
         b: &MergeSide,
     ) -> Result<MergePlan, CtsError> {
-        let grid = scratch.grid_between(a.root_point, b.root_point, self.options.grid_resolution);
+        let grid =
+            scratch.grid_between(a.root_point, b.root_point, self.options.grid_resolution)?;
         scratch.limits(self)?;
         let MazeScratch {
             labels: [la, lb],
             heap,
+            steps,
             limits,
             ..
         } = scratch;
-        self.expand_side_into(&grid, a, limits, la, heap)?;
-        self.expand_side_into(&grid, b, limits, lb, heap)?;
+        steps.fill(&grid);
+        self.expand_side_into(&grid, steps, a, limits, la, heap);
+        self.expand_side_into(&grid, steps, b, limits, lb, heap);
         let (la, lb, limits): (&[Option<Label>], &[Option<Label>], &[f64]) = (la, lb, limits);
 
         // Merge cell: minimum |arrival difference|, then minimum total.
@@ -559,6 +648,62 @@ mod tests {
             root_load: Load::Sink { cap: 20e-15 },
             subtree_delay: delay_ps * PS,
             unbuffered_depth_um: 0.0,
+        }
+    }
+
+    #[test]
+    fn pending_delay_bit_equals_the_library_query() {
+        let lib = fast_library();
+        let opts = options();
+        let router = MazeRouter::new(lib, &opts);
+        for load in lib.buffer_ids() {
+            for i in 0..400 {
+                let seg = i as f64 * 7.3 - 20.0;
+                let want = if seg <= 0.0 {
+                    0.0
+                } else {
+                    lib.single_wire_delay(
+                        opts.virtual_driver,
+                        Load::Buffer(load),
+                        opts.slew_target,
+                        seg.max(1.0),
+                    )
+                };
+                assert_eq!(
+                    router.pending_delay(load, seg).to_bits(),
+                    want.to_bits(),
+                    "{load} at {seg} µm"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn step_tables_bit_equal_cell_dist_in_neighbor_order() {
+        let grids = [
+            RoutingGrid::between(Point::new(13.5, -7.25), Point::new(913.5, 442.75), 45),
+            RoutingGrid::between(Point::new(-3e4, 1.1e3), Point::new(2.6e4, 9.9e3), 45),
+            RoutingGrid::over_region(cts_geom::Rect::with_size(0.3, 700.0), 1, 7),
+        ];
+        for grid in &grids {
+            let mut steps = StepTables::default();
+            steps.fill(grid);
+            for row in 0..grid.rows() {
+                for col in 0..grid.cols() {
+                    let cell = CellId::new(col, row);
+                    let want: Vec<(CellId, u64)> = grid
+                        .neighbors(cell)
+                        .map(|n| (n, grid.cell_dist(cell, n).to_bits()))
+                        .collect();
+                    let got: Vec<(CellId, u64)> = steps
+                        .neighbors(cell)
+                        .into_iter()
+                        .flatten()
+                        .map(|(n, d)| (n, d.to_bits()))
+                        .collect();
+                    assert_eq!(got, want, "{grid} at {cell}");
+                }
+            }
         }
     }
 

@@ -44,6 +44,39 @@ impl MergeScratch {
     }
 }
 
+/// The sinks under the two arms of a joint, sorted, so each step of a
+/// wire-redistribution bisection reads the two sides' latest arrivals
+/// straight off one timing report — no per-step arrival map. Shared by
+/// the merge's binary search and the global refinement's joint
+/// re-balancing.
+pub(crate) struct SideSinks([Vec<TreeNodeId>; 2]);
+
+impl SideSinks {
+    /// The sinks under `arms[0]` and `arms[1]`.
+    pub(crate) fn new(tree: &ClockTree, arms: [TreeNodeId; 2]) -> SideSinks {
+        let mut sides = arms.map(|arm| tree.sinks_under(arm));
+        for side in &mut sides {
+            side.sort_unstable();
+        }
+        SideSinks(sides)
+    }
+
+    /// Latest arrival on side 0 minus latest arrival on side 1, over
+    /// `arrivals`; sinks on neither side are skipped, and a side without
+    /// arrivals reads as −∞.
+    pub(crate) fn max_difference(&self, arrivals: &[(TreeNodeId, f64)]) -> f64 {
+        let mut side_max = [f64::NEG_INFINITY; 2];
+        for &(id, t) in arrivals {
+            if self.0[0].binary_search(&id).is_ok() {
+                side_max[0] = side_max[0].max(t);
+            } else if self.0[1].binary_search(&id).is_ok() {
+                side_max[1] = side_max[1].max(t);
+            }
+        }
+        side_max[0] - side_max[1]
+    }
+}
+
 /// Effective pending depth (relative to the single-wire segment budget) at
 /// which a fresh merge gets crowned with a buffer.
 const MERGE_CAP_FRACTION: f64 = 0.4;
@@ -440,12 +473,7 @@ impl<'a> MergeRouting<'a> {
         let v1 = tree.node(tops[0]).location;
         let v2 = tree.node(tops[1]).location;
 
-        // Sorted id lists: the per-iteration side maxima then come straight
-        // off the report's arrival list — no arrival map allocation inside
-        // the bisection loop.
-        let mut side_sinks = [tree.sinks_under(tops[0]), tree.sinks_under(tops[1])];
-        side_sinks[0].sort_unstable();
-        side_sinks[1].sort_unstable();
+        let side_sinks = SideSinks::new(tree, tops);
         let diff_at = |tree: &mut ClockTree, report: &mut TimingReport, r: f64| -> f64 {
             tree.set_wire_to_parent(tops[0], r * total);
             tree.set_wire_to_parent(tops[1], (1.0 - r) * total);
@@ -457,15 +485,7 @@ impl<'a> MergeRouting<'a> {
                 self.options.slew_target,
                 report,
             );
-            let mut side_max = [f64::NEG_INFINITY; 2];
-            for &(id, t) in &report.sink_arrivals {
-                if side_sinks[0].binary_search(&id).is_ok() {
-                    side_max[0] = side_max[0].max(t);
-                } else if side_sinks[1].binary_search(&id).is_ok() {
-                    side_max[1] = side_max[1].max(t);
-                }
-            }
-            side_max[0] - side_max[1]
+            side_sinks.max_difference(&report.sink_arrivals)
         };
 
         // diff(r) grows with r (more wire on side 1). Establish a bracket

@@ -28,10 +28,10 @@
 //! [`crate::Synthesizer::synthesize`] is a thin wrapper over
 //! [`SynthesisPipeline::run`].
 
-use crate::engine::TimingEngine;
+use crate::engine::{TimingEngine, TimingReport};
 use crate::hcorrect::{merge_with_correction_with, CorrectedMerge};
 use crate::instance::Instance;
-use crate::merge::MergeScratch;
+use crate::merge::{MergeScratch, SideSinks};
 use crate::options::{CtsError, CtsOptions};
 use crate::topology::{find_matching, MatchCandidate, Matching};
 use crate::tree::{ClockTree, NodeKind, TreeNodeId};
@@ -504,6 +504,7 @@ pub(crate) fn refine_global(
     let slew_gate = options.slew_target * 1.01;
     let mr = crate::merge::MergeRouting::new(lib, options);
     let arm_budget = mr.arm_budget_um();
+    let mut local = TimingReport::default();
 
     for _round in 0..3 {
         let (rep, slews) = engine.evaluate_annotated(tree, source, options.source_slew);
@@ -547,17 +548,18 @@ pub(crate) fn refine_global(
             if r_lo >= r_hi {
                 continue;
             }
-            let side_sinks = [tree.sinks_under(kids[0]), tree.sinks_under(kids[1])];
-            let diff_at = |tree: &mut ClockTree, r: f64| -> f64 {
+            let side_sinks = SideSinks::new(tree, kids);
+            let mut diff_at = |tree: &mut ClockTree, r: f64| -> f64 {
                 tree.set_wire_to_parent(kids[0], r * total);
                 tree.set_wire_to_parent(kids[1], (1.0 - r) * total);
-                let local =
-                    engine.evaluate_subtree(tree, driver_node, options.virtual_driver, driver_slew);
-                let arr = local.arrival_map();
-                let m = |ids: &[TreeNodeId]| {
-                    ids.iter().map(|i| arr[i]).fold(f64::NEG_INFINITY, f64::max)
-                };
-                m(&side_sinks[0]) - m(&side_sinks[1])
+                engine.evaluate_subtree_into(
+                    tree,
+                    driver_node,
+                    options.virtual_driver,
+                    driver_slew,
+                    &mut local,
+                );
+                side_sinks.max_difference(&local.sink_arrivals)
             };
             let r_now = tree.node(kids[0]).wire_to_parent_um / total;
             let d_now = diff_at(tree, r_now);

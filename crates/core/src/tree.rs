@@ -430,16 +430,30 @@ impl ClockTree {
         input_cap_of: &dyn Fn(BufferId) -> f64,
     ) -> f64 {
         let mut total = 0.0;
-        let mut stack: Vec<TreeNodeId> = self.node(root).children.to_vec();
-        while let Some(id) = stack.pop() {
-            total += self.node(id).wire_to_parent_um * wire_c_per_um;
-            match self.node(id).kind {
-                NodeKind::Buffer { buffer } => total += input_cap_of(buffer),
-                NodeKind::Sink { cap, .. } => total += cap,
-                _ => stack.extend(self.node(id).children.iter().copied()),
+        self.add_shielded_cap(root, wire_c_per_um, input_cap_of, &mut total);
+        total
+    }
+
+    /// Adds [`ClockTree::shielded_cap_under`]'s terms below `at` into
+    /// `total`, last child first and each edge before the sub-tree under
+    /// it. Floating-point sums depend on that order, and the pinned
+    /// golden synthesis bits depend on the sums.
+    fn add_shielded_cap(
+        &self,
+        at: TreeNodeId,
+        wire_c_per_um: f64,
+        input_cap_of: &dyn Fn(BufferId) -> f64,
+        total: &mut f64,
+    ) {
+        for &id in self.node(at).children.iter().rev() {
+            let node = self.node(id);
+            *total += node.wire_to_parent_um * wire_c_per_um;
+            match node.kind {
+                NodeKind::Buffer { buffer } => *total += input_cap_of(buffer),
+                NodeKind::Sink { cap, .. } => *total += cap,
+                _ => self.add_shielded_cap(id, wire_c_per_um, input_cap_of, total),
             }
         }
-        total
     }
 
     /// Maximum unbuffered wire depth under `root` (µm): the longest

@@ -79,19 +79,23 @@ impl RoutingGrid {
     ///
     /// # Panics
     ///
-    /// Panics if `r_default` is zero or the points are non-finite.
+    /// Panics if `r_default` is zero, the points are non-finite, or they
+    /// are so far apart that no `u32` cell count reaches the pitch (see
+    /// [`RoutingGrid::dims_for_region`]).
     pub fn between(a: Point, b: Point, r_default: u32) -> RoutingGrid {
-        let (cols, rows) = RoutingGrid::dims_between(a, b, r_default);
+        let (cols, rows) = RoutingGrid::dims_between(a, b, r_default)
+            .expect("span too large for a u32 cell count at the maximum pitch");
         RoutingGrid::between_with_dims(a, b, cols, rows)
     }
 
     /// The column/row counts [`RoutingGrid::between`] would pick for this
-    /// pair.
+    /// pair, or `None` if the span is too large for them (see
+    /// [`RoutingGrid::dims_for_region`]).
     ///
     /// # Panics
     ///
     /// Panics if `r_default` is zero or the points are non-finite.
-    pub fn dims_between(a: Point, b: Point, r_default: u32) -> (u32, u32) {
+    pub fn dims_between(a: Point, b: Point, r_default: u32) -> Option<(u32, u32)> {
         assert!(
             a.is_finite() && b.is_finite(),
             "grid corners must be finite"
@@ -105,20 +109,24 @@ impl RoutingGrid {
     /// what makes the counts cacheable across the many similar merges of a
     /// topology level.
     ///
+    /// Returns `None` when doubling would overflow `u32` before the pitch
+    /// reaches [`MAX_CELL_PITCH_UM`]: an extent beyond 2.6·10¹¹ to
+    /// 5.2·10¹¹ µm depending on `r_default` (an infinite one included),
+    /// far beyond any die.
+    ///
     /// # Panics
     ///
     /// Panics if `r_default` is zero.
-    pub fn dims_for_region(region: Rect, r_default: u32) -> (u32, u32) {
+    pub fn dims_for_region(region: Rect, r_default: u32) -> Option<(u32, u32)> {
         assert!(r_default > 0, "grid resolution must be positive");
-        let mut cols = r_default;
-        let mut rows = r_default;
-        while region.width() / cols as f64 > MAX_CELL_PITCH_UM {
-            cols *= 2;
-        }
-        while region.height() / rows as f64 > MAX_CELL_PITCH_UM {
-            rows *= 2;
-        }
-        (cols, rows)
+        let grow = |extent: f64| {
+            let mut n = r_default;
+            while extent / n as f64 > MAX_CELL_PITCH_UM {
+                n = n.checked_mul(2)?;
+            }
+            Some(n)
+        };
+        Some((grow(region.width())?, grow(region.height())?))
     }
 
     /// [`RoutingGrid::between`] with precomputed column/row counts (from
@@ -352,15 +360,33 @@ mod tests {
         ];
         for (a, b) in pairs {
             let fresh = RoutingGrid::between(a, b, 45);
-            let (cols, rows) = RoutingGrid::dims_between(a, b, 45);
+            let (cols, rows) = RoutingGrid::dims_between(a, b, 45).unwrap();
             let rebuilt = RoutingGrid::between_with_dims(a, b, cols, rows);
             assert_eq!(fresh, rebuilt);
             // `dims_for_region` keyed by the exact region dimensions is the
             // cacheable decomposition of `between`.
             let region = RoutingGrid::region_between(a, b);
-            assert_eq!((cols, rows), RoutingGrid::dims_for_region(region, 45));
+            assert_eq!(Some((cols, rows)), RoutingGrid::dims_for_region(region, 45));
             assert_eq!(fresh.region(), region);
         }
+    }
+
+    #[test]
+    fn spans_beyond_u32_cell_counts_have_no_dims() {
+        // 45 · 2²⁶ columns at 120 µm cover 3.6·10¹¹ µm; one more doubling
+        // overflows. The doubling must stop there, not wrap to zero and
+        // divide by it forever.
+        let huge = RoutingGrid::region_between(Point::ORIGIN, Point::new(1e12, 0.0));
+        assert_eq!(RoutingGrid::dims_for_region(huge, 45), None);
+        let endless = Rect::from_corners(Point::ORIGIN, Point::new(f64::INFINITY, 1.0));
+        assert_eq!(RoutingGrid::dims_for_region(endless, 45), None);
+        assert_eq!(
+            RoutingGrid::dims_between(Point::ORIGIN, Point::new(0.0, 1e12), 45),
+            None
+        );
+        // The largest span that fits still gets counts.
+        let big = Rect::with_size(3.0e11, 1.0);
+        assert_eq!(RoutingGrid::dims_for_region(big, 45), Some((45 << 26, 45)));
     }
 
     #[test]

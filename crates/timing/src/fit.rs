@@ -265,9 +265,7 @@ impl PolyFit {
         assert_eq!(x.len(), self.dims, "query dimensionality mismatch");
         let mut pow = [[1.0f64; 4]; MAX_DIMS];
         for (d, (table, &v)) in pow.iter_mut().zip(x).enumerate() {
-            let z = self.std.standardize(d, v);
-            let z2 = z * z;
-            *table = [1.0, z, z2, z * z2];
+            *table = power_table(self.std.standardize(d, v));
         }
         self.powers
             .iter()
@@ -276,13 +274,43 @@ impl PolyFit {
                 c * p
                     .iter()
                     .zip(&pow)
-                    .map(|(&e, table)| match table.get(e as usize) {
-                        Some(&v) => v,
-                        None => table[1].powi(e as i32),
-                    })
+                    .map(|(&e, table)| power(table, e))
                     .product::<f64>()
             })
             .sum()
+    }
+
+    /// The 1-D section `v ↦ eval(&[x0, v])` of a two-variable fit, with
+    /// the first coordinate's work done once, here.
+    ///
+    /// Bit-identical to [`PolyFit::eval`] at every `v`: `eval` forms each
+    /// term as `c · (((1 · t0[e0]) · t1[e1]) · 1)`, where `t0`/`t1` are the
+    /// coordinates' power tables, the leading 1 seeds the product and the
+    /// trailing 1 is the padding dimension's factor. Multiplying by 1.0 is
+    /// exact, so that product is
+    /// `c · (q · t1[e1])` with `q = t0[e0]` — which the section stores per
+    /// term and [`FitSection::eval`] completes, summing the terms in the
+    /// same order. Exponents above the power table take the same `powi`
+    /// fallback on either coordinate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fit does not have exactly two input variables.
+    pub fn section(&self, x0: f64) -> FitSection {
+        assert_eq!(self.dims, 2, "sections are taken of two-variable fits");
+        let t0 = power_table(self.std.standardize(0, x0));
+        FitSection {
+            terms: self
+                .powers
+                .iter()
+                .zip(&self.coefs)
+                .map(|(p, &c)| (c, power(&t0, p[0]), p[1]))
+                .collect(),
+            mean: self.std.mean[1],
+            scale: self.std.scale[1],
+            lo: self.std.lo[1],
+            hi: self.std.hi[1],
+        }
     }
 
     /// A copy of this fit with every coefficient (and the residual
@@ -385,6 +413,48 @@ impl PolyFit {
     }
 }
 
+/// `[1, z, z·z, z·(z·z)]`: exactly what `powi`'s square-and-multiply
+/// computes for exponents up to 3.
+#[inline]
+fn power_table(z: f64) -> [f64; 4] {
+    let z2 = z * z;
+    [1.0, z, z2, z * z2]
+}
+
+/// `z^e` from a [`power_table`] of `z`, through `powi` above the table.
+#[inline]
+fn power(table: &[f64; 4], e: u32) -> f64 {
+    match table.get(e as usize) {
+        Some(&v) => v,
+        None => table[1].powi(e as i32),
+    }
+}
+
+/// A two-variable [`PolyFit`] with its first coordinate fixed: see
+/// [`PolyFit::section`]. Evaluation is allocation-free.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FitSection {
+    /// Per term: coefficient, first-coordinate power, second exponent.
+    terms: Vec<(f64, f64, u32)>,
+    mean: f64,
+    scale: f64,
+    lo: f64,
+    hi: f64,
+}
+
+impl FitSection {
+    /// The fit at `(x0, v)`, bit for bit, clamping `v` to the fitted
+    /// domain like [`PolyFit::eval`].
+    #[inline]
+    pub fn eval(&self, v: f64) -> f64 {
+        let t1 = power_table((v.clamp(self.lo, self.hi) - self.mean) / self.scale);
+        self.terms
+            .iter()
+            .map(|&(c, q, e1)| c * (q * power(&t1, e1)))
+            .sum()
+    }
+}
+
 fn monomial(x: &[f64], powers: &[u32]) -> f64 {
     x.iter()
         .zip(powers)
@@ -466,6 +536,64 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn section_is_bit_identical_to_eval() {
+        let mut rng = StdRng::seed_from_u64(0x0073_6563_7469_6f6e);
+        // Orders up to 4 run the `powi` fallback on both coordinates.
+        for order in 0..=4u32 {
+            for _fit in 0..4 {
+                let domains = [
+                    {
+                        let lo = rng.gen_range(0.0..1e-11);
+                        (lo, lo + rng.gen_range(0.5e-11..3e-11))
+                    },
+                    {
+                        let lo = rng.gen_range(0.0..1e3);
+                        (lo, lo + rng.gen_range(0.5e3..3e3))
+                    },
+                ];
+                let pts: Vec<Vec<f64>> = (0..60)
+                    .map(|_| {
+                        domains
+                            .iter()
+                            .map(|&(lo, hi)| rng.gen_range(lo..hi))
+                            .collect()
+                    })
+                    .collect();
+                let vals: Vec<f64> = pts
+                    .iter()
+                    .map(|p| (3e10 * p[0]).sin() + (1e-3 * p[1]).cos() + 1e7 * p[0] * p[1])
+                    .collect();
+                let fit = PolyFit::fit(2, order, &pts, &vals).unwrap();
+                // Half a domain beyond each side, so both clamps run.
+                let beyond = |(lo, hi): (f64, f64), rng: &mut StdRng| {
+                    let w = hi - lo;
+                    rng.gen_range(lo - 0.5 * w..hi + 0.5 * w)
+                };
+                for _ in 0..20 {
+                    let x0 = beyond(domains[0], &mut rng);
+                    let section = fit.section(x0);
+                    for _ in 0..50 {
+                        let v = beyond(domains[1], &mut rng);
+                        assert_eq!(
+                            section.eval(v).to_bits(),
+                            fit.eval(&[x0, v]).to_bits(),
+                            "order {order} at ({x0:e}, {v})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "two-variable fits")]
+    fn sections_need_two_variables() {
+        let pts: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64]).collect();
+        let vals: Vec<f64> = (0..8).map(|i| i as f64).collect();
+        let _ = PolyFit::fit(1, 1, &pts, &vals).unwrap().section(0.0);
     }
 
     #[test]

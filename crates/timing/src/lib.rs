@@ -62,6 +62,7 @@ pub use io::{
 };
 pub use library::{
     BranchFns, BranchTiming, BufferId, DelaySlewLibrary, Load, SingleWireFns, StageTiming,
+    WireDelaySection,
 };
 pub use rctree::{RcNodeId, RcTree};
 pub use variation::{

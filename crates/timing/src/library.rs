@@ -1,7 +1,7 @@
 //! The delay/slew library: the paper's pre-characterized timing model
 //! (§3.2.3), queried millions of times by the CTS flow.
 
-use crate::fit::PolyFit;
+use crate::fit::{FitSection, PolyFit};
 use cts_spice::{BufferType, WireParams};
 use std::fmt;
 
@@ -90,6 +90,21 @@ impl SingleWireFns {
 
     fn output_slew_at(&self, x: &[f64; 2]) -> f64 {
         self.wire_slew.eval(x).max(1e-15)
+    }
+}
+
+/// The wire delay of one (drive, load) combination at a fixed input slew,
+/// as a function of wire length: see
+/// [`DelaySlewLibrary::wire_delay_section`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct WireDelaySection(FitSection);
+
+impl WireDelaySection {
+    /// Wire delay (s) over `length_um` of wire, with the query-time clamp
+    /// of [`DelaySlewLibrary::single_wire_delay`].
+    #[inline]
+    pub fn eval(&self, length_um: f64) -> f64 {
+        self.0.eval(length_um).max(0.0)
     }
 }
 
@@ -291,6 +306,25 @@ impl DelaySlewLibrary {
     ) -> f64 {
         self.single_fns(drive, load)
             .output_slew_at(&[input_slew, length_um])
+    }
+
+    /// [`DelaySlewLibrary::single_wire_delay`] at a fixed input slew, as a
+    /// function of wire length alone: the wire-delay fit's
+    /// [section](PolyFit::section) at `input_slew`. Bit-identical to
+    /// `single_wire_delay(drive, load, input_slew, len)` at every `len`,
+    /// with the slew coordinate's work done once here instead of per
+    /// query.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `drive` (or a buffer load) is out of range.
+    pub fn wire_delay_section(
+        &self,
+        drive: BufferId,
+        load: Load,
+        input_slew: f64,
+    ) -> WireDelaySection {
+        WireDelaySection(self.single_fns(drive, load).wire_delay.section(input_slew))
     }
 
     /// The `(buffer_delay, wire_delay)` pair of
@@ -684,6 +718,33 @@ mod tests {
                         assert_eq!(
                             (bits(b), bits(w)),
                             (bits(t.buffer_delay), bits(t.wire_delay))
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wire_delay_sections_bit_equal_single_wire_delay() {
+        let lib = crate::fast_library();
+        let ((slew_lo, slew_hi), (len_lo, len_hi)) =
+            lib.single_domain(BufferId(0), Load::Buffer(BufferId(0)));
+        let grid =
+            |lo: f64, hi: f64| (0..=12).map(move |i| lo + (hi - lo) * (i as f64 / 8.0 - 0.25));
+        for drive in lib.buffer_ids() {
+            for load in lib
+                .buffer_ids()
+                .map(Load::Buffer)
+                .chain([Load::Sink { cap: 25e-15 }])
+            {
+                for slew in grid(slew_lo, slew_hi) {
+                    let section = lib.wire_delay_section(drive, load, slew);
+                    for len in grid(len_lo, len_hi).chain([1.0, 0.0, -5.0]) {
+                        assert_eq!(
+                            section.eval(len).to_bits(),
+                            lib.single_wire_delay(drive, load, slew, len).to_bits(),
+                            "{drive} into {load:?} at slew {slew:e}, {len} µm"
                         );
                     }
                 }

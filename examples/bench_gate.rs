@@ -24,10 +24,21 @@
 //!    vs the baseline, calibration-normalized (a looser ceiling than the
 //!    verify rule because the scale tiers are one-shot measurements).
 //!
+//! When the fresh file also carries the kernel ladder (`--bench kernels`
+//! ran), one more rule applies:
+//!
+//! 5. every `maze_route/*` and `engine_evaluate/*` median must not
+//!    regress more than **30%** vs the baseline, normalized by each run's
+//!    `verify_512sinks/calibration` like rule 2 (the maze wavefront and
+//!    the timing engine's stage walk are the two hot loops of synthesis;
+//!    the ceiling is looser than rule 2's because these medians are
+//!    microsecond-to-millisecond kernels on a shared runner).
+//!
 //! A missing baseline file (first run on a branch) or a baseline without
 //! the verify entries (predating the bench) passes rule 2 with a notice;
 //! a fresh file without `synth_scale` entries (a verify-only run) passes
-//! rules 3–4 with a notice; a malformed fresh file always fails.
+//! rules 3–4 with a notice, and one without kernel entries passes rule 5
+//! with a notice; a malformed fresh file always fails.
 
 use cts::net::Json;
 use std::process::ExitCode;
@@ -49,6 +60,11 @@ const MATCH_BRUTE: &str = "synth_scale/matching_100k_brute";
 const MATCH_SPATIAL: &str = "synth_scale/matching_100k_spatial";
 const SCALE_CALIBRATION: &str = "synth_scale/calibration";
 const SCALE_TIERS: [&str; 2] = ["synth_scale/synth_10000", "synth_scale/synth_100000"];
+/// Regression ceiling for the kernel ladder's calibration-normalized
+/// medians.
+const KERNEL_MAX_REGRESSION: f64 = 1.30;
+/// Id prefixes of the gated kernel-ladder entries.
+const KERNEL_GROUPS: [&str; 2] = ["maze_route/", "engine_evaluate/"];
 
 /// `median_ns` of the entry with `id`, if present.
 fn median_ns(entries: &Json, id: &str) -> Option<f64> {
@@ -60,6 +76,18 @@ fn median_ns(entries: &Json, id: &str) -> Option<f64> {
         .find(|e| e.get("id").and_then(Json::as_str) == Some(id))
         .and_then(|e| e.get("median_ns"))
         .and_then(Json::as_f64)
+}
+
+/// Ids of the entries whose id starts with `prefix`, in file order.
+fn ids_with_prefix<'a>(entries: &'a Json, prefix: &str) -> Vec<&'a str> {
+    let Json::Arr(items) = entries else {
+        return Vec::new();
+    };
+    items
+        .iter()
+        .filter_map(|e| e.get("id").and_then(Json::as_str))
+        .filter(|id| id.starts_with(prefix))
+        .collect()
 }
 
 fn load(path: &str) -> Result<Json, String> {
@@ -201,6 +229,38 @@ fn main() -> ExitCode {
             "bench_gate: {SCALE_CALIBRATION} missing on one side; \
              skipping the scale-tier regression check"
         ),
+    }
+
+    // Rule 5: the kernel ladder, when the kernels bench ran.
+    let kernels: Vec<&str> = KERNEL_GROUPS
+        .iter()
+        .flat_map(|group| ids_with_prefix(&fresh, group))
+        .collect();
+    if kernels.is_empty() {
+        println!(
+            "bench_gate: {fresh_path} lacks the kernel ladder ({}*); skipping its \
+             regression check",
+            KERNEL_GROUPS.join("*, ")
+        );
+    }
+    for id in kernels {
+        let (Some(now), Some(was)) = (median_ns(&fresh, id), median_ns(&baseline, id)) else {
+            println!("bench_gate: {id} missing on one side; skipping");
+            continue;
+        };
+        let ratio = (now / calib) / (was / b_calib);
+        println!(
+            "bench_gate: {id} calibration-normalized ratio vs baseline: {ratio:.3} \
+             (ceiling {KERNEL_MAX_REGRESSION})"
+        );
+        if ratio > KERNEL_MAX_REGRESSION {
+            eprintln!(
+                "bench_gate: FAIL — kernel {id} regressed more than {:.0}% vs the \
+                 committed baseline",
+                (KERNEL_MAX_REGRESSION - 1.0) * 100.0
+            );
+            ok = false;
+        }
     }
 
     if ok {

@@ -3,7 +3,8 @@
 //! * The delay-library queries the maze router issues at every wavefront
 //!   step (`PolyFit::eval`, `single_wire` and its single-quantity forms,
 //!   `branch`) must not touch the heap: one allocation per fit evaluation
-//!   was hundreds of millions of allocations per large synthesis.
+//!   was hundreds of millions of allocations per large synthesis. The
+//!   fit sections the router evaluates instead allocate once, when built.
 //! * A serial synthesis must keep its transient heap peak within a fixed
 //!   multiple of the result it returns: the serial level merge grafts
 //!   each pair's forest as soon as it is merged instead of holding every
@@ -160,6 +161,67 @@ fn library_queries_do_not_allocate() {
     });
     assert!(acc.is_finite());
     assert_eq!(heap.allocs, 0, "delay-library queries allocated");
+}
+
+#[test]
+fn fit_sections_allocate_only_at_construction() {
+    // The maze router builds one wire-delay section per load type when it
+    // is created and evaluates it at every wavefront step: building costs
+    // one allocation (the term list), evaluating none.
+    let lib = fast_library();
+    let loads: Vec<Load> = lib
+        .buffer_ids()
+        .map(Load::Buffer)
+        .chain([Load::Sink { cap: 25e-15 }])
+        .collect();
+    let (sections, built) = measure(|| {
+        let mut sections = Vec::with_capacity(lib.buffer_ids().count() * loads.len() * 4);
+        for drive in lib.buffer_ids() {
+            for &load in &loads {
+                for i in 0..4 {
+                    sections.push(lib.wire_delay_section(drive, load, 20e-12 + i as f64 * 25e-12));
+                }
+            }
+        }
+        sections
+    });
+    assert_eq!(
+        built.allocs,
+        1 + sections.len() as u64,
+        "one allocation per section (plus the holding vector)"
+    );
+    let (acc, heap) = measure(|| {
+        let mut acc = 0.0;
+        for section in &sections {
+            for i in 0..50 {
+                acc += section.eval(i as f64 * 60.0 - 100.0);
+            }
+        }
+        acc
+    });
+    assert!(acc.is_finite());
+    assert_eq!(heap.allocs, 0, "section evaluation allocated");
+
+    // Sections of bare fits too, every order through the `powi` fallback.
+    for order in 0..=4u32 {
+        let pts: Vec<Vec<f64>> = (0..40)
+            .map(|i| vec![(i % 7) as f64, (i / 7) as f64 * 1.5])
+            .collect();
+        let vals: Vec<f64> = pts.iter().map(|p| (p[0] - p[1]).sin()).collect();
+        let fit = PolyFit::fit(2, order, &pts, &vals).expect("well-posed fit");
+        let (section, built) = measure(|| fit.section(2.5));
+        assert_eq!(built.allocs, 1, "order {order}: section construction");
+        let (acc, heap) = measure(|| {
+            (0..40)
+                .map(|i| section.eval(i as f64 * 0.3 - 2.0))
+                .sum::<f64>()
+        });
+        assert!(acc.is_finite());
+        assert_eq!(
+            heap.allocs, 0,
+            "order {order}: section evaluation allocated"
+        );
+    }
 }
 
 /// Upper bound on a serial synthesis's transient heap peak, as a multiple

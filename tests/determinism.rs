@@ -338,3 +338,113 @@ fn library_serialization_roundtrip_preserves_queries() {
         }
     }
 }
+
+/// FNV-1a over 64-bit words: the golden-bits fingerprint below.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for byte in w.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Every field of every node (floats by `to_bits`), then the report's
+/// latency, skew and worst slew.
+fn result_fingerprint(r: &cts::CtsResult) -> u64 {
+    use cts::NodeKind;
+    let mut h = Fnv1a::new();
+    for node in r.tree.nodes() {
+        match node.kind {
+            NodeKind::Source { driver } => {
+                h.word(0);
+                h.word(driver.0 as u64);
+            }
+            NodeKind::Sink { index, cap } => {
+                h.word(1);
+                h.word(index as u64);
+                h.word(cap.to_bits());
+            }
+            NodeKind::Joint => h.word(2),
+            NodeKind::Buffer { buffer } => {
+                h.word(3);
+                h.word(buffer.0 as u64);
+            }
+        }
+        h.word(node.location.x.to_bits());
+        h.word(node.location.y.to_bits());
+        h.word(node.parent.map_or(u64::MAX, |p| p.index() as u64));
+        h.word(node.wire_to_parent_um.to_bits());
+        h.word(node.children.len() as u64);
+        for c in &node.children {
+            h.word(c.index() as u64);
+        }
+    }
+    h.word(r.report.latency.to_bits());
+    h.word(r.report.skew().to_bits());
+    h.word(r.report.worst_slew.to_bits());
+    h.0
+}
+
+/// Synthesis pinned to exact bits. Kernel rewrites (fit sections, step
+/// tables, engine walks) promise the same floating-point operations in
+/// the same order; any drift in any node field or in the report's
+/// latency, skew or worst slew moves these fingerprints, and a deliberate
+/// change of results must re-record them. Both buffering modes, on one
+/// and two threads. (The 400-sink instance's merges are short enough that
+/// no routed path needs a buffer, so its two modes build the same tree;
+/// the custom instance's long merges tell them apart.)
+#[test]
+fn golden_synthesis_bits_are_pinned() {
+    use cts::Buffering;
+    let lib = fast_library();
+    let cases: [(&str, Instance, Buffering, u64); 4] = [
+        (
+            "scale400/greedy",
+            cts::benchmarks::generate_scale(400, 1),
+            Buffering::Greedy,
+            0x49b6_39c9_16ff_3863,
+        ),
+        (
+            "scale400/van_ginneken",
+            cts::benchmarks::generate_scale(400, 1),
+            Buffering::VanGinneken,
+            0x49b6_39c9_16ff_3863,
+        ),
+        (
+            "custom/greedy",
+            cts::benchmarks::generate_custom("golden", 60, 7000.0, 5),
+            Buffering::Greedy,
+            0xdb8a_4d5d_0c61_1337,
+        ),
+        (
+            "custom/van_ginneken",
+            cts::benchmarks::generate_custom("golden", 60, 7000.0, 5),
+            Buffering::VanGinneken,
+            0xd070_6777_d6c4_6863,
+        ),
+    ];
+    for (name, instance, buffering, golden) in cases {
+        for threads in [1usize, 2] {
+            let options = CtsOptions::builder()
+                .buffering(buffering)
+                .threads(threads)
+                .build()
+                .expect("valid options");
+            let r = Synthesizer::new(lib, options)
+                .synthesize_unverified(&instance)
+                .expect("synthesis");
+            let got = result_fingerprint(&r);
+            assert_eq!(
+                got, golden,
+                "{name} on {threads} thread(s): synthesis bits moved, got {got:#018x}"
+            );
+        }
+    }
+}

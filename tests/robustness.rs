@@ -119,3 +119,25 @@ fn giant_die_small_sink_count() {
         r.report.worst_slew / 1e-12
     );
 }
+
+#[test]
+fn astronomical_span_is_rejected_not_hung() {
+    // 10¹² µm between two sinks: no `u32` column count reaches the
+    // routing grid's buffer-site pitch. Growing the grid by doubling used
+    // to wrap the count to zero and spin forever on `width / 0.0`.
+    let synth = Synthesizer::new(fast_library(), CtsOptions::default());
+    let inst = Instance::new(
+        "astronomical",
+        vec![
+            Sink::new("west", Point::new(0.0, 0.0), 25e-15),
+            Sink::new("east", Point::new(1e12, 0.0), 25e-15),
+        ],
+    );
+    match synth.synthesize(&inst) {
+        Err(CtsError::SlewUnachievable { context }) => {
+            assert!(context.contains("routing region"), "{context}")
+        }
+        Err(other) => panic!("expected SlewUnachievable, got {other}"),
+        Ok(_) => panic!("a 10¹² µm span cannot be routed"),
+    }
+}
